@@ -22,8 +22,6 @@
 // the kernel-ownership analyzer checks that no goroutine the pool spawns
 // ever shares a run's kernel, wheel, or scenario state.
 //
-//lint:concurrency-layer supervised worker pool fanning out independent seeded runs; each scenario stays single-threaded, panics/retries/deadlines are handled per worker, and results merge in seed order
-//
 // The runtime is supervised (see supervise.go for the failure model): a
 // panicking job becomes a structured JobError instead of killing the
 // process, failed jobs are retried on a deterministic capped-exponential
@@ -37,6 +35,8 @@
 // under SkipFailed, every permanent failure — so an interrupted
 // Paper-scale campaign resumes from its completed seeds and never
 // re-runs a job that is known to fail deterministically.
+//
+//lint:concurrency-layer supervised worker pool fanning out independent seeded runs; each scenario stays single-threaded, panics/retries/deadlines are handled per worker, and results merge in seed order
 package campaign
 
 import (

@@ -66,8 +66,9 @@ func (d *liteworpDetector) Announcement(field.NodeID, int) {}
 //  1. If the frame is a forward (PrevHop != Sender) and we guard the link
 //     PrevHop->Sender: if we never heard PrevHop transmit this packet,
 //     Sender fabricated it (V_f).
-//  2. Remember that Sender transmitted this packet (the "heard" cache)
-//     and clear any matching watch entry.
+//  2. Remember that Sender transmitted this packet (the "heard" cache),
+//     which also keeps later flood copies from re-arming an expectation
+//     on it, and clear any matching watch entry.
 //  3. Arm forwarding expectations for the receivers we guard: the unicast
 //     receiver of a REP, or every common neighbor for a flooded REQ. If an
 //     expectation expires unforwarded, the watch buffer raises a drop (V_d).
@@ -102,13 +103,11 @@ func (d *liteworpDetector) Overheard(p *packet.Packet) {
 		}
 	}
 
-	sidx := d.buffer.Intern(sender)
-	d.buffer.RecordHeardIdx(sidx, key)
 	// Any overheard transmission of this packet by sender satisfies a
-	// pending forwarding expectation on sender and primes the duplicate
-	// cache, so later flood copies do not re-arm an expectation the node
-	// has already met.
-	d.buffer.MarkForwardedIdx(sidx, key)
+	// pending forwarding expectation on sender, and its heard record keeps
+	// later flood copies from re-arming an expectation the node has
+	// already met.
+	d.buffer.MarkForwardedIdx(d.buffer.Intern(sender), key)
 
 	// Do not arm forwarding expectations for packets transmitted by a
 	// suspect: once this guard has heard any alert about the sender,
@@ -156,9 +155,18 @@ func (d *liteworpDetector) Overheard(p *packet.Packet) {
 		if sender != table.Self() && !table.HasEntry(sender) {
 			return
 		}
+		// Every copy of a flood reaches this loop, and most neighbors
+		// are already watched or have already forwarded by the later
+		// copies. The coverage mask names those (see watch.Buffer.Covered)
+		// so the loop skips them without probing the watch tables; an
+		// nbrIdx past the mask's 64 bits shifts to 0 and takes ExpectIdx.
+		covered := d.buffer.Covered(key)
 		nbrs := table.Neighbors()
 		idxs := table.NeighborIdxs()
 		for i, a := range nbrs {
+			if covered>>uint32(idxs[i])&1 != 0 {
+				continue
+			}
 			if a == sender || a == p.Origin || a == p.FinalDest {
 				continue
 			}

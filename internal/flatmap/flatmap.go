@@ -196,11 +196,102 @@ func (t *Table[V]) putFresh(k Key, v V) {
 	t.n++
 }
 
-// ExpiryTable is a Table holding expiry instants, with a sweep that reaps
-// every entry whose expiry has passed and returns capacity when occupancy
-// collapses after a burst. It implements the repo-wide liveness convention:
-// a record with stored expiry exp is alive while now < exp; the sweep
-// deletes once exp <= now.
+// Ref returns a pointer to the value stored under k, or nil when k is
+// absent. The pointer aliases table storage: it is valid only until the
+// next Put, Upsert, Delete or sweep on t.
+func (t *Table[V]) Ref(k Key) *V {
+	if t.n == 0 {
+		return nil
+	}
+	i := k.hash() & t.mask
+	for {
+		sk := t.keys[i]
+		if sk == k {
+			return &t.vals[i]
+		}
+		if sk.zero() {
+			return nil
+		}
+		i = (i + 1) & t.mask
+	}
+}
+
+// Upsert returns a pointer to the value stored under k, first inserting
+// the zero V when k is absent — a read-modify-write in one probe. The
+// pointer is valid under the same rule as Ref's.
+func (t *Table[V]) Upsert(k Key) *V {
+	if len(t.keys) == 0 {
+		t.rehash(minCap)
+	} else if t.n >= len(t.keys)-len(t.keys)/4 { // grow at 3/4 load
+		t.rehash(len(t.keys) * 2)
+	}
+	i := k.hash() & t.mask
+	for {
+		sk := t.keys[i]
+		if sk == k {
+			return &t.vals[i]
+		}
+		if sk.zero() {
+			t.keys[i] = k
+			t.n++
+			return &t.vals[i]
+		}
+		i = (i + 1) & t.mask
+	}
+}
+
+// SweepFunc deletes every entry whose value dead reports true, returns how
+// many it removed, and gives capacity back when occupancy collapses after
+// a burst. To make one pass exact under backward-shift deletion, the scan
+// starts at an empty anchor slot: shifts move entries strictly toward the
+// anchor side already scanned, and a probe chain never crosses an empty
+// slot, so no live entry can jump behind the cursor unseen.
+func (t *Table[V]) SweepFunc(dead func(*V) bool) int {
+	if t.n == 0 {
+		return 0
+	}
+	removed := 0
+	anchor := t.anchor()
+	for off := uint64(1); off <= uint64(len(t.keys)); off++ {
+		i := (anchor + off) & t.mask
+		// Re-examine the slot after a deletion: the backward shift may
+		// have moved a later (unscanned) entry into it.
+		for !t.keys[i].zero() && dead(&t.vals[i]) {
+			t.deleteAt(i)
+			removed++
+		}
+	}
+	t.maybeShrink()
+	return removed
+}
+
+// anchor returns an empty slot of a non-empty table; one always exists
+// because load never exceeds 3/4.
+func (t *Table[V]) anchor() uint64 {
+	i := uint64(0)
+	for !t.keys[i].zero() {
+		i++
+	}
+	return i
+}
+
+// maybeShrink rehashes into smaller storage when occupancy has fallen to
+// an eighth of capacity — the burst is over, give the memory back. The
+// target keeps load under a half so a shrink is never immediately undone.
+func (t *Table[V]) maybeShrink() {
+	if len(t.keys) <= minCap || t.n > len(t.keys)/8 {
+		return
+	}
+	newCap := len(t.keys)
+	for newCap > minCap && t.n <= newCap/8 {
+		newCap /= 2
+	}
+	t.rehash(newCap)
+}
+
+// ExpiryTable is a Table holding expiry instants. It implements the
+// repo-wide liveness convention: a record with stored expiry exp is alive
+// while now < exp; the sweep deletes once exp <= now.
 type ExpiryTable struct {
 	Table[time.Duration]
 }
@@ -212,50 +303,24 @@ func (t *ExpiryTable) Live(k Key, now time.Duration) bool {
 }
 
 // Sweep deletes every entry with exp <= now and returns how many it
-// removed. To make one pass exact under backward-shift deletion, the scan
-// starts at an empty anchor slot: shifts move entries strictly toward the
-// anchor side already scanned, and a probe chain never crosses an empty
-// slot, so no live entry can jump behind the cursor unseen.
+// removed. It is SweepFunc with the expiry test written inline: a
+// predicate call per slot made the routing and watch caches' sweeps
+// measurably slower.
 func (t *ExpiryTable) Sweep(now time.Duration) int {
 	if t.n == 0 {
 		return 0
 	}
-	capSlots := uint64(len(t.keys))
-	// An empty anchor always exists: load never exceeds 3/4.
-	anchor := uint64(0)
-	for !t.keys[anchor].zero() {
-		anchor++
-	}
 	removed := 0
-	for off := uint64(1); off <= capSlots; off++ {
+	anchor := t.anchor()
+	for off := uint64(1); off <= uint64(len(t.keys)); off++ {
 		i := (anchor + off) & t.mask
-		// Re-examine the slot after a deletion: the backward shift may
-		// have moved a later (unscanned) entry into it.
-		for {
-			k := t.keys[i]
-			if k.zero() || t.vals[i] > now {
-				break
-			}
+		for !t.keys[i].zero() && t.vals[i] <= now {
 			t.deleteAt(i)
 			removed++
 		}
 	}
 	t.maybeShrink()
 	return removed
-}
-
-// maybeShrink rehashes into smaller storage when occupancy has fallen to
-// an eighth of capacity — the burst is over, give the memory back. The
-// target keeps load under a half so a shrink is never immediately undone.
-func (t *ExpiryTable) maybeShrink() {
-	if len(t.keys) <= minCap || t.n > len(t.keys)/8 {
-		return
-	}
-	newCap := len(t.keys)
-	for newCap > minCap && t.n <= newCap/8 {
-		newCap /= 2
-	}
-	t.rehash(newCap)
 }
 
 // FootprintBytes returns the allocated table storage in bytes (keys plus

@@ -15,7 +15,8 @@ func randKey(rng *rand.Rand) Key {
 	}
 }
 
-// TestTableMatchesMap drives random Put/Delete/Get against a reference map.
+// TestTableMatchesMap drives random Put/Delete/Get/Ref/Upsert against a
+// reference map.
 func TestTableMatchesMap(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -23,7 +24,7 @@ func TestTableMatchesMap(t *testing.T) {
 		ref := make(map[Key]int)
 		for op := 0; op < 4000; op++ {
 			k := randKey(rng)
-			switch rng.Intn(3) {
+			switch rng.Intn(5) {
 			case 0:
 				v := rng.Int()
 				tab.Put(k, v)
@@ -41,6 +42,20 @@ func TestTableMatchesMap(t *testing.T) {
 				if ok != wok || got != want {
 					t.Fatalf("seed %d op %d: Get(%v) = %v,%v want %v,%v", seed, op, k, got, ok, want, wok)
 				}
+			case 3:
+				p := tab.Ref(k)
+				want, wok := ref[k]
+				if (p != nil) != wok || (wok && *p != want) {
+					t.Fatalf("seed %d op %d: Ref(%v) = %v, want %v,%v", seed, op, k, p, want, wok)
+				}
+			case 4:
+				// Read-modify-write: an absent key starts from zero.
+				p := tab.Upsert(k)
+				if *p != ref[k] {
+					t.Fatalf("seed %d op %d: Upsert(%v) reads %v, want %v", seed, op, k, *p, ref[k])
+				}
+				*p++
+				ref[k]++
 			}
 			if tab.Len() != len(ref) {
 				t.Fatalf("seed %d op %d: Len = %d, want %d", seed, op, tab.Len(), len(ref))

@@ -24,8 +24,8 @@ no-wallclock internal/baz/qux.go:3
 		t.Error("exact entry not matched")
 	}
 	for _, miss := range []Diagnostic{
-		{Analyzer: "no-global-rand", File: "internal/foo/bar.go", Line: 12}, // wrong analyzer
-		{Analyzer: "deterministic-map-range", File: "internal/foo/bar.go", Line: 13}, // wrong line
+		{Analyzer: "no-global-rand", File: "internal/foo/bar.go", Line: 12},            // wrong analyzer
+		{Analyzer: "deterministic-map-range", File: "internal/foo/bar.go", Line: 13},   // wrong line
 		{Analyzer: "deterministic-map-range", File: "internal/foo/other.go", Line: 12}, // wrong file
 	} {
 		if al.Allows(miss) {

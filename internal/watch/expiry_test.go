@@ -11,7 +11,7 @@ import (
 
 // TestExpiryBoundaryConvention pins the single liveness convention for every
 // expiring record: live strictly before the expiry instant, dead exactly at
-// it. Readers (Heard/HeardAny, the forwarded-suppression check) and the
+// it. Readers (Heard/HeardAny, Expect's already-forwarded check) and the
 // wheel sweep must agree, so a record can never be dead to a reader yet
 // immortal in the map or vice versa.
 func TestExpiryBoundaryConvention(t *testing.T) {
@@ -25,7 +25,7 @@ func TestExpiryBoundaryConvention(t *testing.T) {
 	k.At(time.Second, func() {
 		liveAt = b.Heard(3, key(1, 1))
 		anyAt = b.HeardAny(key(1, 1))
-		// The forwarded record died at the same instant, so a new
+		// The forward's heard record died at the same instant, so a new
 		// expectation must be accepted again.
 		reExpectAt = b.Expect(3, key(1, 1))
 	})
@@ -43,8 +43,15 @@ func TestExpiryBoundaryConvention(t *testing.T) {
 	}
 }
 
-// TestWheelReclaimsCaches: the heard/heardAny/forwarded maps are emptied by
-// the shared sweep — expiry is not just a reader-side illusion.
+// cacheSizes reports the live record counts of the two CacheTTL caches.
+func (s *store) cacheSizes() (heard, heardAny int) {
+	return s.heardAt.Len(), s.anyAt.Len()
+}
+
+// TestWheelReclaimsCaches: the heard and heard-any tables are emptied by
+// the shared sweep — expiry is not just a reader-side illusion. Forwards
+// land in the heard cache too, so two senders per key give two heard
+// records and one heard-any record.
 func TestWheelReclaimsCaches(t *testing.T) {
 	k := sim.New(1)
 	b, _, _ := newBuffer(k, Config{Timeout: 100 * time.Millisecond, CacheTTL: time.Second})
@@ -52,12 +59,12 @@ func TestWheelReclaimsCaches(t *testing.T) {
 		b.RecordHeard(3, key(1, i))
 		b.MarkForwarded(4, key(1, i))
 	}
-	if h, a, f := b.store.cacheSizes(); h != 50 || a != 50 || f != 50 {
-		t.Fatalf("cache sizes %d/%d/%d before expiry, want 50 each", h, a, f)
+	if h, a := b.store.cacheSizes(); h != 100 || a != 50 {
+		t.Fatalf("cache sizes %d/%d before expiry, want 100/50", h, a)
 	}
 	k.RunFor(5 * time.Second)
-	if h, a, f := b.store.cacheSizes(); h != 0 || a != 0 || f != 0 {
-		t.Fatalf("cache sizes %d/%d/%d after expiry, want 0 each", h, a, f)
+	if h, a := b.store.cacheSizes(); h != 0 || a != 0 {
+		t.Fatalf("cache sizes %d/%d after expiry, want 0 each", h, a)
 	}
 }
 
@@ -99,7 +106,7 @@ func TestSharedWheelConfig(t *testing.T) {
 	if got := w.Stats().Records; got == 0 {
 		t.Fatal("external wheel reaped nothing; buffer built a private wheel?")
 	}
-	if h, _, _ := b.store.cacheSizes(); h != 0 {
+	if h, _ := b.store.cacheSizes(); h != 0 {
 		t.Fatal("record not reclaimed through the shared wheel")
 	}
 }
@@ -111,12 +118,12 @@ func TestPendingEntryRecycled(t *testing.T) {
 	k := sim.New(1)
 	b, acc, _ := newBuffer(k, Config{Timeout: time.Second, CacheTTL: 2 * time.Second})
 	b.Expect(5, key(1, 1))
-	first, _ := b.store.pendingGet(b.Intern(5), key(1, 1))
+	first, _ := b.store.pending.Get(pendingKey(b.Intern(5), key(1, 1)))
 	b.MarkForwarded(5, key(1, 1)) // satisfied: entry recycled
 	k.RunFor(3 * time.Second)     // forwarded suppression expires
 
 	b.Expect(5, key(1, 2))
-	second, _ := b.store.pendingGet(b.Intern(5), key(1, 2))
+	second, _ := b.store.pending.Get(pendingKey(b.Intern(5), key(1, 2)))
 	if first != second {
 		t.Fatal("freelist miss: satisfied entry was not reused")
 	}

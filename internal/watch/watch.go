@@ -2,18 +2,19 @@
 // (paper §4.2): the watch buffer in which a guard records control packets
 // it overhears going into a monitored neighbor, the malicious counters
 // (MalC) per watched node, and the cache of recently heard transmissions
-// used to distinguish a legitimate forward from a fabrication.
+// used to distinguish a legitimate forward from a fabrication and to
+// suppress re-arming an expectation a neighbor has already met.
 //
 // The package is pure mechanism; the rules for *when* to expect a forward
 // and *what* counts as a fabrication live in the core engine that composes
 // this buffer with the neighbor table.
 //
 // Storage layout: the buffer addresses watched nodes by their dense
-// neighbor index (nbrIdx, see neighbor.Index) and keeps its five hot
-// collections behind the storeBackend seam — the default flat backend
-// stores them in open-addressed tables and dense slices (see store_flat.go),
-// while the map backend preserves the original Go-map implementation as
-// the differential-testing ground truth (see store_map.go).
+// neighbor index (nbrIdx, see neighbor.Index) and keeps its collections in
+// open-addressed tables and dense slices (see store.go): the pending
+// watches, the per-(sender, packet) heard cache, and the per-packet
+// heard-any cache whose records carry the coverage mask that lets a REQ
+// flood skip expectations that would be no-ops (Covered).
 package watch
 
 import (
@@ -86,8 +87,8 @@ type Config struct {
 	// MalC (the paper's analysis assumes fabrications "occur within a
 	// certain time window, T").
 	Window time.Duration
-	// CacheTTL bounds how long heard-transmission and already-forwarded
-	// records are kept. It defaults to 10*Timeout; it only needs to
+	// CacheTTL bounds how long heard-transmission records (forwards
+	// included) are kept. It defaults to 10*Timeout; it only needs to
 	// outlive the propagation of one flood.
 	CacheTTL time.Duration
 	// DropFilter, when non-nil, is consulted as a watch entry expires. A
@@ -97,18 +98,12 @@ type Config struct {
 	// selectively refusing to forward.
 	DropFilter func(accused field.NodeID, key packet.Key) bool
 	// Wheel, when non-nil, is the shared expiry wheel the buffer's
-	// housekeeping TTLs (heard/forwarded caches, MalC window pruning) ride
+	// housekeeping TTLs (heard caches, MalC window pruning) ride
 	// instead of per-record kernel timers. Nil means the buffer builds a
 	// private wheel over its own clock. The watch deadline tau is semantic
 	// — a drop accusation must fire at exactly Timeout — and always keeps
 	// an exact timer.
 	Wheel *sim.Wheel
-	// Backend selects the storage layout: BackendFlat (open-addressed
-	// tables over dense neighbor indexes, the default when empty) or
-	// BackendMap (the original Go-map implementation, kept as the
-	// property-test ground truth). Both honor identical semantics; the
-	// golden traces pin them to bit-identical behavior.
-	Backend string
 	// Index, when non-nil, is the node incarnation's shared dense
 	// neighbor index (neighbor.Table.Index()). Nil means the buffer
 	// builds a private index — correct, but then nbrIdx values are not
@@ -154,7 +149,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheTTL <= 0 {
 		c.CacheTTL = 10 * c.Timeout
 	}
-	c.Backend = CanonicalBackend(c.Backend)
 	return c
 }
 
@@ -194,10 +188,10 @@ type Buffer struct {
 	kernel sim.Clock
 	cfg    Config
 	idx    *neighbor.Index
-	store  storeBackend
+	store  store
 
-	// cacheSlot arms the expiry wheel for the three CacheTTL caches
-	// (heard, heardAny, forwarded); malcSlot arms it for Window pruning.
+	// cacheSlot arms the expiry wheel for the two CacheTTL caches (heard,
+	// heard-any); malcSlot arms it for Window pruning.
 	cacheSlot sim.WheelSlot
 	malcSlot  sim.WheelSlot
 	// freePending recycles fired/satisfied watch entries. It is capped at
@@ -216,9 +210,7 @@ type Buffer struct {
 
 // New returns a buffer. onAccuse (may be nil) observes every accusation;
 // onThreshold (may be nil) fires once per accused node when its windowed
-// MalC reaches the threshold. An unknown Config.Backend panics: the
-// buffer cannot run without storage, and the Params layer validates the
-// name long before a simulation is built.
+// MalC reaches the threshold.
 func New(k sim.Clock, cfg Config, onAccuse func(Accusation), onThreshold func(field.NodeID)) *Buffer {
 	b := &Buffer{
 		kernel:      k,
@@ -230,7 +222,6 @@ func New(k sim.Clock, cfg Config, onAccuse func(Accusation), onThreshold func(fi
 	if b.idx == nil {
 		b.idx = neighbor.NewIndex()
 	}
-	b.store = newStore(b.cfg.Backend)
 	wheel := b.cfg.Wheel
 	if wheel == nil {
 		wheel = sim.NewWheel(k, 0)
@@ -240,7 +231,7 @@ func New(k sim.Clock, cfg Config, onAccuse func(Accusation), onThreshold func(fi
 	return b
 }
 
-// sweepCaches reaps expired heard/heardAny/forwarded records. Sweeps are
+// sweepCaches reaps expired heard and heard-any records. Sweeps are
 // pure housekeeping: every reader rechecks the stored expiry via live(), so
 // when a record is deleted relative to its expiry is unobservable.
 func (b *Buffer) sweepCaches(now time.Duration) int {
@@ -264,7 +255,7 @@ func (b *Buffer) Config() Config { return b.cfg }
 func (b *Buffer) Stats() Stats { return b.stats }
 
 // Len returns the number of outstanding watch entries.
-func (b *Buffer) Len() int { return b.store.pendingLen() }
+func (b *Buffer) Len() int { return b.store.pending.Len() }
 
 // Index returns the dense neighbor index the buffer keys its state by.
 func (b *Buffer) Index() *neighbor.Index { return b.idx }
@@ -281,7 +272,7 @@ const EntryBytes = 20
 
 // MemoryBytes returns the current watch-buffer footprint per the paper's
 // cost model.
-func (b *Buffer) MemoryBytes() int { return b.store.pendingLen() * EntryBytes }
+func (b *Buffer) MemoryBytes() int { return b.store.pending.Len() * EntryBytes }
 
 // RecordHeard notes that this guard overheard sender transmitting the
 // packet identified by key. The record expires after CacheTTL; reclamation
@@ -302,12 +293,12 @@ func (b *Buffer) RecordHeardIdx(sidx int32, key packet.Key) {
 // recorded.
 func (b *Buffer) Heard(sender field.NodeID, key packet.Key) bool {
 	sidx, ok := b.idx.Lookup(sender)
-	return ok && b.store.heard(sidx, key, b.kernel.Now())
+	return ok && b.HeardIdx(sidx, key)
 }
 
 // HeardIdx is Heard for a pre-interned sender.
 func (b *Buffer) HeardIdx(sidx int32, key packet.Key) bool {
-	return b.store.heard(sidx, key, b.kernel.Now())
+	return b.store.heardAt.Live(pendingKey(sidx, key), b.kernel.Now())
 }
 
 // HeardAny reports whether the guard recently overheard *anyone* transmit
@@ -321,31 +312,54 @@ func (b *Buffer) HeardAny(key packet.Key) bool {
 	return b.store.heardAny(key, b.kernel.Now())
 }
 
+// Covered returns the packet's coverage mask: bit i set means Expect on
+// the forwarder with nbrIdx i would be a no-op returning false right now,
+// so a caller arming one packet against many neighbors may skip it. The
+// mask is a one-way hint — a clear bit promises nothing, and nbrIdx values
+// of 64 and up are never covered.
+func (b *Buffer) Covered(key packet.Key) uint64 {
+	return b.store.coverage(key, b.kernel.Now())
+}
+
 // Expect records that forwarder is expected to forward the packet within
 // Timeout. It is a no-op (returning false) when an identical expectation is
-// already pending or the forwarder was recently seen forwarding this packet
-// (flooded packets are forwarded only once). If the deadline passes without
-// a MarkForwarded, a drop accusation is raised.
+// already pending or the forwarder was recently heard transmitting this
+// packet (flooded packets are forwarded only once). If the deadline passes
+// without a MarkForwarded, a drop accusation is raised.
 func (b *Buffer) Expect(forwarder field.NodeID, key packet.Key) bool {
 	return b.ExpectIdx(b.idx.Intern(forwarder), key)
 }
 
 // ExpectIdx is Expect for a pre-interned forwarder.
 func (b *Buffer) ExpectIdx(fidx int32, key packet.Key) bool {
-	if _, dup := b.store.pendingGet(fidx, key); dup {
+	pk := pendingKey(fidx, key)
+	if _, dup := b.store.pending.Get(pk); dup {
 		return false
 	}
-	if b.store.forwardedLive(fidx, key, b.kernel.Now()) {
+	now := b.kernel.Now()
+	if b.store.heardAt.Live(pk, now) {
 		return false
 	}
 	entry := b.newPending(fidx, key)
 	entry.timer = b.kernel.After(b.cfg.Timeout, entry.fn)
-	b.store.pendingPut(fidx, key, entry)
+	b.store.pending.Put(pk, entry)
+	b.store.coverArmed(fidx, key, now)
 	b.stats.Expectations++
-	if n := b.store.pendingLen(); n > b.stats.PeakEntries {
+	if n := b.store.pending.Len(); n > b.stats.PeakEntries {
 		b.stats.PeakEntries = n
 	}
 	return true
+}
+
+// Watching reports whether an expectation on (forwarder, key) is
+// outstanding: the packet sits in this guard's watch buffer for that node.
+func (b *Buffer) Watching(forwarder field.NodeID, key packet.Key) bool {
+	fidx, ok := b.idx.Lookup(forwarder)
+	if !ok {
+		return false
+	}
+	_, ok = b.store.pending.Get(pendingKey(fidx, key))
+	return ok
 }
 
 // newPending takes an entry from the freelist (or allocates one, binding
@@ -382,12 +396,14 @@ func (b *Buffer) recyclePending(e *pendingEntry) {
 // was satisfied and re-armed for the same key in the meantime.
 func (e *pendingEntry) expire() {
 	b := e.b
-	if cur, ok := b.store.pendingGet(e.fidx, e.key); !ok || cur != e {
+	pk := pendingKey(e.fidx, e.key)
+	if cur, ok := b.store.pending.Get(pk); !ok || cur != e {
 		return
 	}
-	b.store.pendingDelete(e.fidx, e.key)
+	b.store.pending.Delete(pk)
 	forwarder, key := b.idx.ID(e.fidx), e.key
 	fidx := e.fidx
+	b.store.uncover(fidx, key)
 	b.recyclePending(e)
 	if b.cfg.DropFilter != nil && b.cfg.DropFilter(forwarder, key) {
 		b.stats.FilteredDrops++
@@ -397,24 +413,28 @@ func (e *pendingEntry) expire() {
 	b.accuse(fidx, forwarder, ReasonDrop, key, b.cfg.DropIncrement)
 }
 
-// MarkForwarded clears any pending expectation on (forwarder, key) and
-// remembers the forward so duplicate flood copies do not re-arm it. It
-// reports whether a pending expectation was satisfied.
+// MarkForwarded records forwarder's transmission of the packet in the heard
+// cache (a forward is an overheard transmission), which keeps duplicate
+// flood copies from re-arming an expectation on it, and clears any pending
+// expectation on (forwarder, key). It reports whether a pending
+// expectation was satisfied.
 func (b *Buffer) MarkForwarded(forwarder field.NodeID, key packet.Key) bool {
 	return b.MarkForwardedIdx(b.idx.Intern(forwarder), key)
 }
 
 // MarkForwardedIdx is MarkForwarded for a pre-interned forwarder.
 func (b *Buffer) MarkForwardedIdx(fidx int32, key packet.Key) bool {
-	expiry := b.kernel.Now() + b.cfg.CacheTTL
-	b.store.markForwarded(fidx, key, expiry)
+	now := b.kernel.Now()
+	expiry := now + b.cfg.CacheTTL
+	b.store.markForwarded(fidx, key, expiry, now)
 	b.cacheSlot.Arm(expiry)
-	entry, ok := b.store.pendingGet(fidx, key)
+	pk := pendingKey(fidx, key)
+	entry, ok := b.store.pending.Get(pk)
 	if !ok {
 		return false
 	}
 	entry.timer.Cancel()
-	b.store.pendingDelete(fidx, key)
+	b.store.pending.Delete(pk)
 	b.recyclePending(entry)
 	b.stats.Matches++
 	return true
