@@ -18,7 +18,7 @@ func repWorld(t *testing.T, cfg Config) (*sim.Kernel, *medium.Medium, *Attacker,
 	heard := map[field.NodeID][]*packet.Packet{}
 	for _, id := range []field.NodeID{1, 2, 3, 4} {
 		id := id
-		if err := med.Attach(id, func(p *packet.Packet) { heard[id] = append(heard[id], p) }); err != nil {
+		if err := med.Attach(id, func(p *packet.Packet) { heard[id] = append(heard[id], p.Clone()) }); err != nil {
 			t.Fatal(err)
 		}
 	}

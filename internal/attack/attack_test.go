@@ -108,7 +108,7 @@ func TestTunnelModeCapturesAndReinjectsREQ(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := med.Attach(4, func(p *packet.Packet) { heardByNode4 = append(heardByNode4, p) }); err != nil {
+	if err := med.Attach(4, func(p *packet.Packet) { heardByNode4 = append(heardByNode4, p.Clone()) }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -230,7 +230,7 @@ func TestHighPowerMode(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := med.Attach(4, func(p *packet.Packet) { node4Heard = append(node4Heard, p) }); err != nil {
+	if err := med.Attach(4, func(p *packet.Packet) { node4Heard = append(node4Heard, p.Clone()) }); err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig(ModeHighPower)
@@ -280,7 +280,7 @@ func TestRelayModeReplaysVerbatim(t *testing.T) {
 	if err := med.Attach(2, func(p *packet.Packet) { relay.HandleControl(p) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := med.Attach(3, func(p *packet.Packet) { bHeard = append(bHeard, p) }); err != nil {
+	if err := med.Attach(3, func(p *packet.Packet) { bHeard = append(bHeard, p.Clone()) }); err != nil {
 		t.Fatal(err)
 	}
 	relay = New(k, med, 2, nil, DefaultConfig(ModeRelay))

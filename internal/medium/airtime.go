@@ -53,36 +53,52 @@ type airInterval struct {
 	start, end time.Duration
 	// corrupted marks the reception destroyed by an overlap.
 	corrupted bool
+	// refs counts the interval's holders: the receiving station's list
+	// (until prune drops it) and the reception's pending delivery (until
+	// it reads the verdict at arrival). The slot is reused at zero.
+	refs uint8
 }
 
+// airState is the slab the reception intervals live in, so a reception
+// costs no allocation once the slab has grown to the peak number of live
+// intervals. Stations list their intervals by slot (station.air).
 type airState struct {
-	// perStation holds the active (and recently expired) reception
-	// intervals at each station, including overheard frames.
-	perStation map[field.NodeID][]*airInterval
+	ivs  []airInterval
+	free []int32
 }
 
-func newAirState() *airState {
-	return &airState{perStation: make(map[field.NodeID][]*airInterval)}
+// release drops one holder of interval i, freeing the slot when it was the
+// last.
+func (a *airState) release(i int32) {
+	a.ivs[i].refs--
+	if a.ivs[i].refs == 0 {
+		a.free = append(a.free, i)
+	}
 }
 
-// prune drops intervals that ended before now.
-func (a *airState) prune(rx field.NodeID, now time.Duration) {
-	ivs := a.perStation[rx]
-	keep := ivs[:0]
-	for _, iv := range ivs {
-		if iv.end > now {
-			keep = append(keep, iv)
+// prune drops intervals that ended before now from st's list. An ended
+// interval overlaps nothing from now on, so pruning it changes no verdict.
+func (a *airState) prune(st *station, now time.Duration) {
+	keep := st.air[:0]
+	for _, i := range st.air {
+		if a.ivs[i].end > now {
+			keep = append(keep, i)
+		} else {
+			a.release(i)
 		}
 	}
-	a.perStation[rx] = keep
+	st.air = keep
 }
 
-// add registers a reception interval at rx and returns it, marking it and
-// any overlapping interval from a different transmitter as corrupted.
-func (a *airState) add(rx, from field.NodeID, start, end time.Duration) *airInterval {
-	a.prune(rx, start)
-	iv := &airInterval{from: from, start: start, end: end}
-	for _, other := range a.perStation[rx] {
+// add registers a reception interval at st, held by st's list and by the
+// caller, and returns its slot, marking it and any overlapping interval
+// from a different transmitter as corrupted. The caller releases its hold
+// once it has read the verdict.
+func (a *airState) add(st *station, from field.NodeID, start, end time.Duration) int32 {
+	a.prune(st, start)
+	iv := airInterval{from: from, start: start, end: end, refs: 2}
+	for _, j := range st.air {
+		other := &a.ivs[j]
 		if other.from == from {
 			continue
 		}
@@ -91,15 +107,24 @@ func (a *airState) add(rx, from field.NodeID, start, end time.Duration) *airInte
 			iv.corrupted = true
 		}
 	}
-	a.perStation[rx] = append(a.perStation[rx], iv)
-	return iv
+	var i int32
+	if n := len(a.free); n > 0 {
+		i = a.free[n-1]
+		a.free = a.free[:n-1]
+		a.ivs[i] = iv
+	} else {
+		i = int32(len(a.ivs))
+		a.ivs = append(a.ivs, iv)
+	}
+	st.air = append(st.air, i)
+	return i
 }
 
-// busy reports whether station id currently hears an ongoing frame.
-func (a *airState) busy(id field.NodeID, now time.Duration) bool {
-	a.prune(id, now)
-	for _, iv := range a.perStation[id] {
-		if iv.start <= now && now < iv.end {
+// busy reports whether station st currently hears an ongoing frame.
+func (a *airState) busy(st *station, now time.Duration) bool {
+	a.prune(st, now)
+	for _, i := range st.air {
+		if iv := &a.ivs[i]; iv.start <= now && now < iv.end {
 			return true
 		}
 	}
@@ -118,14 +143,15 @@ func (m *Medium) transmitAirtime(tx field.NodeID, p *packet.Packet, rangeFactor 
 }
 
 func (m *Medium) transmitAirtimeARQ(tx field.NodeID, p *packet.Packet, rangeFactor float64, attempt, arq int) error {
-	if st, ok := m.stations[tx]; !ok || st.down {
+	txSt, ok := m.stations[tx]
+	if !ok || txSt.down {
 		// The transmitter crashed between a carrier-sense deferral or ARQ
 		// backoff and this retry.
 		return nil
 	}
 	cfg := m.airCfg
 	now := m.kernel.Now()
-	if cfg.CarrierSense && m.air.busy(tx, now) {
+	if cfg.CarrierSense && m.air.busy(txSt, now) {
 		if attempt >= m.airMaxAttempts() {
 			m.stats.CarrierDrops++
 			return nil
@@ -157,17 +183,22 @@ func (m *Medium) transmitAirtimeARQ(tx field.NodeID, p *packet.Packet, rangeFact
 	end := now + dur
 	arrival := dur + m.cfg.PropagationDelay
 
+	// Intervals and noise are settled here, at transmit time; the overlap
+	// verdict, trace and ARQ are read at arrival by the batched delivery.
+	d := m.newDelivery(tx, decoded)
+	d.airtime, d.sent, d.target, d.rangeFactor, d.arq = true, p, p.Receiver, rangeFactor, arq
 	for _, rx := range m.topo.NeighborsScaled(tx, rangeFactor) {
 		st, ok := m.stations[rx]
 		if !ok {
 			continue
 		}
-		if !m.reachable(tx, rx) {
+		if !m.hears(st, tx, rx) {
 			m.stats.DownSuppressed++
 			continue
 		}
-		iv := m.air.add(rx, tx, now, end)
+		iv := m.air.add(st, tx, now, end)
 		if m.fault != nil && m.fault(tx, rx, p) {
+			m.air.release(iv) // no delivery will read this one
 			m.stats.FaultDrops++
 			if m.trace != nil {
 				m.trace(TraceEvent{At: now, From: tx, To: rx, Packet: p, Lost: true})
@@ -176,49 +207,14 @@ func (m *Medium) transmitAirtimeARQ(tx field.NodeID, p *packet.Packet, rangeFact
 		}
 		// Residual probabilistic loss still applies (noise floor).
 		noise := m.kernel.Rand().Float64() < m.cfg.Loss.LossProb(tx, rx)
-		stCopy := st
-		rxCopy := rx
-		isTarget := p.Receiver == rxCopy
 		// Only the addressed receiver can trigger an ARQ retransmission,
 		// so only it needs a private deep copy of the frame.
-		var retransmit *packet.Packet
-		if isTarget {
-			retransmit = p.Clone()
+		if rx == d.target {
+			d.retransmit = p.Clone()
 		}
-		m.kernel.Post(arrival, func() {
-			if stCopy.down {
-				// The receiver crashed while the frame was in flight.
-				m.stats.DownSuppressed++
-				return
-			}
-			lost := iv.corrupted || noise
-			if m.trace != nil {
-				m.trace(TraceEvent{At: m.kernel.Now(), From: tx, To: rxCopy, Packet: p, Lost: lost})
-			}
-			if lost {
-				m.stats.Losses++
-				if iv.corrupted {
-					m.stats.AirtimeCollisions++
-					if m.corrupted != nil {
-						m.corrupted(rxCopy)
-					}
-				}
-				// MAC ARQ: the addressed receiver of a unicast frame
-				// failed to acknowledge; retransmit after a backoff.
-				if isTarget && arq < m.airUnicastRetries() {
-					m.stats.ARQRetransmissions++
-					backoff := m.kernel.UniformDuration(m.airMaxBackoff()) + time.Microsecond
-					m.kernel.Post(backoff, func() {
-						_ = m.transmitAirtimeARQ(tx, retransmit, rangeFactor, 0, arq+1)
-					})
-				}
-				return
-			}
-			m.stats.Deliveries++
-			q := *decoded
-			stCopy.recv(&q)
-		})
+		d.rxs = append(d.rxs, reception{st: st, rx: rx, iv: iv, noise: noise})
 	}
+	m.post(d, arrival)
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package medium
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -272,4 +273,145 @@ func TestAirtimeScenarioEndToEnd(t *testing.T) {
 	if got < 35 {
 		t.Fatalf("only %d/40 receptions under light load", got)
 	}
+}
+
+// refAirInterval and refAirState are the pointer-per-reception airState
+// the slab replaced: one heap interval per reception, kept per station and
+// dropped by prune. TestAirSlabMatchesReference holds the slab to it.
+type refAirInterval struct {
+	from       field.NodeID
+	start, end time.Duration
+	corrupted  bool
+}
+
+type refAirState struct {
+	perStation map[field.NodeID][]*refAirInterval
+}
+
+func (a *refAirState) prune(rx field.NodeID, now time.Duration) {
+	keep := a.perStation[rx][:0]
+	for _, iv := range a.perStation[rx] {
+		if iv.end > now {
+			keep = append(keep, iv)
+		}
+	}
+	a.perStation[rx] = keep
+}
+
+func (a *refAirState) add(rx, from field.NodeID, start, end time.Duration) *refAirInterval {
+	a.prune(rx, start)
+	iv := &refAirInterval{from: from, start: start, end: end}
+	for _, other := range a.perStation[rx] {
+		if other.from != from && other.start < end && start < other.end {
+			other.corrupted = true
+			iv.corrupted = true
+		}
+	}
+	a.perStation[rx] = append(a.perStation[rx], iv)
+	return iv
+}
+
+func (a *refAirState) busy(id field.NodeID, now time.Duration) bool {
+	a.prune(id, now)
+	for _, iv := range a.perStation[id] {
+		if iv.start <= now && now < iv.end {
+			return true
+		}
+	}
+	return false
+}
+
+// TestAirSlabMatchesReference drives the slab and the reference through
+// the same random script of overlapping receptions, carrier-sense probes
+// and deliveries, the way the medium does: a reception's verdict is read
+// once at end+propagation (or never, when a fault drops it at transmit),
+// and its slot is released then. Every verdict and every busy answer must
+// match, and once all deliveries have run and every interval has expired,
+// every slab slot must be free again.
+func TestAirSlabMatchesReference(t *testing.T) {
+	const stations = 6
+	var seen [2][2]int // [verdict, busy][false, true] outcomes compared
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var slab airState
+		ref := refAirState{perStation: map[field.NodeID][]*refAirInterval{}}
+		sts := make([]*station, stations+1)
+		for id := range sts {
+			sts[id] = &station{}
+		}
+		type pending struct {
+			at   time.Duration
+			slot int32
+			ref  *refAirInterval
+		}
+		var queue []pending
+		deliverDue := func(now time.Duration) {
+			keep := queue[:0]
+			for _, p := range queue {
+				if p.at > now {
+					keep = append(keep, p)
+					continue
+				}
+				if got, want := slab.ivs[p.slot].corrupted, p.ref.corrupted; got != want {
+					t.Fatalf("seed %d t=%v: verdict %v, reference %v", seed, now, got, want)
+				}
+				seen[0][b2i(p.ref.corrupted)]++
+				slab.release(p.slot)
+			}
+			queue = keep
+		}
+		now := time.Duration(0)
+		peak := 0
+		for op := 0; op < 2000; op++ {
+			now += time.Duration(rng.Intn(40)) * time.Microsecond
+			deliverDue(now)
+			rx := field.NodeID(1 + rng.Intn(stations))
+			switch rng.Intn(4) {
+			case 0:
+				got, want := slab.busy(sts[rx], now), ref.busy(rx, now)
+				if got != want {
+					t.Fatalf("seed %d t=%v: busy(%d) %v, reference %v", seed, now, rx, got, want)
+				}
+				seen[1][b2i(want)]++
+			default:
+				from := field.NodeID(1 + rng.Intn(stations))
+				end := now + time.Duration(1+rng.Intn(200))*time.Microsecond
+				slot := slab.add(sts[rx], from, now, end)
+				iv := ref.add(rx, from, now, end)
+				if rng.Intn(8) == 0 {
+					slab.release(slot) // fault-dropped: no delivery reads it
+					continue
+				}
+				prop := time.Duration(rng.Intn(10)) * time.Microsecond
+				queue = append(queue, pending{at: end + prop, slot: slot, ref: iv})
+			}
+			if live := len(slab.ivs) - len(slab.free); live > peak {
+				peak = live
+			}
+		}
+		now += time.Hour
+		deliverDue(now)
+		for id := 1; id <= stations; id++ {
+			slab.prune(sts[id], now)
+		}
+		if len(slab.free) != len(slab.ivs) {
+			t.Fatalf("seed %d: %d of %d slots still held after every delivery and expiry",
+				seed, len(slab.ivs)-len(slab.free), len(slab.ivs))
+		}
+		if len(slab.ivs) > peak {
+			t.Fatalf("seed %d: slab grew to %d slots for a peak of %d live intervals", seed, len(slab.ivs), peak)
+		}
+	}
+	for i, name := range []string{"verdict", "busy"} {
+		if seen[i][0] == 0 || seen[i][1] == 0 {
+			t.Fatalf("script never produced both %s outcomes: %v", name, seen[i])
+		}
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -40,8 +40,14 @@ var (
 	ErrSenderDown = errors.New("medium: sender is down")
 )
 
-// Receiver is a station's frame-delivery callback. Each receiver gets its
-// own decoded copy of the frame.
+// Receiver is a station's frame-delivery callback. The *packet.Packet it
+// is handed is valid only for the duration of the call: the medium reuses
+// one struct for every receiver of a transmission and zeroes it when the
+// call returns. A receiver may mutate the struct's scalar fields and
+// reassign its slice headers freely (no other receiver or the sender sees
+// it), but must treat the slice contents as read-only and must Clone the
+// packet before keeping it or handing it to anything that outlives the
+// call.
 type Receiver func(*packet.Packet)
 
 // LossModel yields the probability that a given reception fails.
@@ -182,6 +188,10 @@ type station struct {
 	// frames already in flight toward it evaporate at delivery time), but
 	// it stays registered so tunnels and a later reboot keep working.
 	down bool
+	// air lists the station's active (and recently expired) reception
+	// intervals under the airtime model, as slots of the medium's
+	// interval slab; overheard frames included.
+	air []int32
 }
 
 // DeliveryFault is an injected per-reception fault: return true to destroy
@@ -200,7 +210,7 @@ type Medium struct {
 	topo      *field.Field
 	cfg       Config
 	airCfg    AirtimeConfig
-	air       *airState
+	air       airState
 	stations  map[field.NodeID]*station
 	tunnels   map[[2]field.NodeID]tunnel
 	downLinks map[[2]field.NodeID]bool
@@ -213,6 +223,8 @@ type Medium struct {
 	// outlive the transmit call and steady-state encoding allocates
 	// nothing (Unmarshal copies every variable-length section).
 	wireBuf []byte
+	// freeDeliveries recycles delivery records (see delivery.go).
+	freeDeliveries []*delivery
 }
 
 // New creates a medium over the given topology.
@@ -228,7 +240,6 @@ func New(k *sim.Kernel, topo *field.Field, cfg Config) *Medium {
 		topo:      topo,
 		cfg:       cfg,
 		airCfg:    cfg.Airtime,
-		air:       newAirState(),
 		stations:  make(map[field.NodeID]*station),
 		tunnels:   make(map[[2]field.NodeID]tunnel),
 		downLinks: make(map[[2]field.NodeID]bool),
@@ -290,10 +301,13 @@ func (m *Medium) SetDeliveryFault(fn DeliveryFault) { m.fault = fn }
 // rx attached and powered, and the tx-rx link not flapped down.
 func (m *Medium) reachable(tx, rx field.NodeID) bool {
 	st, ok := m.stations[rx]
-	if !ok || st.down {
-		return false
-	}
-	return !m.downLinks[[2]field.NodeID{tx, rx}]
+	return ok && m.hears(st, tx, rx)
+}
+
+// hears is reachable for rx's already looked-up station st. The downLinks
+// probe is skipped while no link is flapped down, the common case.
+func (m *Medium) hears(st *station, tx, rx field.NodeID) bool {
+	return !st.down && (len(m.downLinks) == 0 || !m.downLinks[[2]field.NodeID{tx, rx}])
 }
 
 // unicastResult translates the delivery fate of an addressed frame into the
@@ -435,13 +449,16 @@ func (m *Medium) transmit(tx field.NodeID, p *packet.Packet, rangeFactor float64
 	m.countBytes(p.Type, len(wire))
 	arrival := m.TxDelay(len(wire)) + m.cfg.PropagationDelay
 
-	// Deterministic receiver order: ascending IDs from the topology.
+	// Deterministic receiver order: ascending IDs from the topology. Loss
+	// draws happen here, at transmit time; the surviving receptions ride
+	// to their shared arrival instant as one batched event.
+	d := m.newDelivery(tx, decoded)
 	for _, rx := range m.topo.NeighborsScaled(tx, rangeFactor) {
 		st, ok := m.stations[rx]
 		if !ok {
 			continue
 		}
-		if !m.reachable(tx, rx) {
+		if !m.hears(st, tx, rx) {
 			m.stats.DownSuppressed++
 			continue
 		}
@@ -465,21 +482,9 @@ func (m *Medium) transmit(tx field.NodeID, p *packet.Packet, rangeFactor float64
 			}
 			continue
 		}
-		stCopy := st
-		m.kernel.Post(arrival, func() {
-			if stCopy.down {
-				// The receiver crashed while the frame was in flight.
-				m.stats.DownSuppressed++
-				return
-			}
-			m.stats.Deliveries++
-			// Per-receiver struct copy; the slice sections (Route,
-			// Payload, MAC) are shared read-only among this frame's
-			// receivers — stacks clone before mutating.
-			q := *decoded
-			stCopy.recv(&q)
-		})
+		d.rxs = append(d.rxs, reception{st: st, rx: rx})
 	}
+	m.post(d, arrival)
 	return m.unicastResult(tx, p)
 }
 

@@ -2,6 +2,7 @@ package medium
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -27,7 +28,8 @@ type sink struct {
 	got []*packet.Packet
 }
 
-func (s *sink) recv(p *packet.Packet) { s.got = append(s.got, p) }
+// recv keeps a clone: a delivered packet is valid only during the call.
+func (s *sink) recv(p *packet.Packet) { s.got = append(s.got, p.Clone()) }
 
 func TestBroadcastReachesOnlyNodesInRange(t *testing.T) {
 	k := sim.New(1)
@@ -299,18 +301,23 @@ func TestTunnelValidation(t *testing.T) {
 }
 
 func TestReceiverGetsIndependentCopies(t *testing.T) {
-	// Delivery contract (decode-once fast path): each receiver gets its own
-	// *Packet struct, so scalar fields and slice *headers* are private —
-	// reassigning or appending never leaks to other receivers or back to
+	// Delivery contract (decode-once, one struct per batch): each receiver
+	// is handed a copy of the decoded frame that is valid only during its
+	// call, so scalar fields and slice *headers* are private for that call
+	// — reassigning or appending never leaks to other receivers or back to
 	// the sender. The slice contents (Route, Payload, MAC) are shared
 	// read-only among a frame's receivers; stacks clone before mutating
-	// them in place (packet.Clone), which routing and attack code do.
+	// them in place or keeping the packet (packet.Clone), which routing
+	// and attack code do. After the call returns the struct is zeroed, so
+	// a receiver that kept the pointer sees nothing.
 	k := sim.New(1)
 	f := lineTopo(t, 3)
 	m := New(k, f, Config{})
-	var got1, got3 *packet.Packet
+	var kept1, kept3 *packet.Packet
+	var hop3 uint16
+	var route3 []field.NodeID
 	if err := m.Attach(1, func(p *packet.Packet) {
-		got1 = p
+		kept1 = p
 		p.HopCount = 9
 		p.Route = append(p.Route, 77) // decoded slices are at capacity: this reallocates
 	}); err != nil {
@@ -319,7 +326,11 @@ func TestReceiverGetsIndependentCopies(t *testing.T) {
 	if err := m.Attach(2, func(*packet.Packet) {}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Attach(3, func(p *packet.Packet) { got3 = p }); err != nil {
+	if err := m.Attach(3, func(p *packet.Packet) {
+		kept3 = p
+		hop3 = p.HopCount
+		route3 = append([]field.NodeID(nil), p.Route...)
+	}); err != nil {
 		t.Fatal(err)
 	}
 	p := &packet.Packet{Type: packet.TypeRouteRequest, Sender: 2, PrevHop: 2, Receiver: packet.Broadcast, Route: []field.NodeID{5}}
@@ -329,17 +340,19 @@ func TestReceiverGetsIndependentCopies(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got1 == nil || got3 == nil {
+	if kept1 == nil || kept3 == nil {
 		t.Fatal("frames not delivered")
 	}
-	if got1 == got3 {
-		t.Fatal("receivers share one Packet struct")
-	}
-	if got3.HopCount != 0 || len(got3.Route) != 1 || got3.Route[0] != 5 {
+	if hop3 != 0 || len(route3) != 1 || route3[0] != 5 {
 		t.Fatal("one receiver's mutation leaked into another's copy")
 	}
 	if p.HopCount != 0 || len(p.Route) != 1 || p.Route[0] != 5 {
 		t.Fatal("receiver mutation leaked into the sender's packet")
+	}
+	for _, kept := range []*packet.Packet{kept1, kept3} {
+		if !reflect.DeepEqual(*kept, packet.Packet{}) {
+			t.Fatalf("delivered packet not zeroed after its call: %+v", *kept)
+		}
 	}
 }
 

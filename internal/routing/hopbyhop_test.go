@@ -18,7 +18,7 @@ func TestHopByHopEndToEnd(t *testing.T) {
 		if id != 5 {
 			return Events{}
 		}
-		return Events{DataDelivered: func(p *packet.Packet) { delivered = append(delivered, p) }}
+		return Events{DataDelivered: func(p *packet.Packet) { delivered = append(delivered, p.Clone()) }}
 	})
 	if err := h.routers[1].Send(5, []byte("aodv")); err != nil {
 		t.Fatal(err)

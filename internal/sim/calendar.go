@@ -66,6 +66,11 @@ const (
 	// cqBucketSeedCap is the per-bucket slice capacity preallocated at
 	// construction and resize, so warm steady-state pushes never allocate.
 	cqBucketSeedCap = 4
+	// cqBucketKeepCap is the largest capacity a bucket keeps once it
+	// drains. A burst can grow one bucket far past its steady-state load;
+	// at drain, storage above this cap is dropped so the burst's peak is
+	// not retained for the rest of the run.
+	cqBucketKeepCap = 32
 	// cqFarFuture excludes "effectively never" sentinels (1<<62-1 draws)
 	// from width estimation; they would stretch the spread to uselessness.
 	cqFarFuture = int64(1) << 61
@@ -160,13 +165,19 @@ func (b *cqBucket) insert(it *eventItem) {
 }
 
 // take removes the bucket's head slot, compacting the popped prefix once
-// it outweighs the live remainder (capacity is kept for reuse).
+// it outweighs the live remainder. Capacity is kept for reuse up to
+// cqBucketKeepCap; a drained bucket above it drops its storage, and the
+// next insert regrows it to the load it actually sees.
 func (b *cqBucket) take() {
 	b.items[b.head] = nil
 	b.head++
 	switch {
 	case b.head == len(b.items):
-		b.items = b.items[:0]
+		if cap(b.items) > cqBucketKeepCap {
+			b.items = nil
+		} else {
+			b.items = b.items[:0]
+		}
 		b.head = 0
 	case b.head > 32 && b.head*2 >= len(b.items):
 		n := copy(b.items, b.items[b.head:])

@@ -245,3 +245,40 @@ func TestCalendarSparseFarFuture(t *testing.T) {
 		}
 	}
 }
+
+// TestCalendarReleasesBurstStorage pins the drain-time release policy: a
+// bucket that a same-instant burst grew past cqBucketKeepCap gives the
+// storage back once it drains, so a ring sized for a standing load does
+// not keep every burst's peak. A background of far-future events holds
+// the ring at its grown size (no shrink-resize reseeds the buckets) while
+// bursts of 1000 same-instant events land on many different buckets and
+// drain; afterwards total bucket capacity must stay within a small
+// multiple of the seed capacity the ring starts every bucket with.
+func TestCalendarReleasesBurstStorage(t *testing.T) {
+	const background, burst, bursts = 600, 1000, 32
+	k := NewWithQueue(1, NewCalendarQueue())
+	q := k.queue.(*calendarQueue)
+	for i := 0; i < background; i++ {
+		k.Post(time.Hour+time.Duration(i)*time.Millisecond, func() {})
+	}
+	fired := 0
+	for r := 0; r < bursts; r++ {
+		for i := 0; i < burst; i++ {
+			k.Post(time.Second, func() { fired++ })
+		}
+		if err := k.RunFor(time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fired != burst*bursts || q.size() != background {
+		t.Fatalf("fired %d of %d burst events, %d queued (want %d)", fired, burst*bursts, q.size(), background)
+	}
+	total := 0
+	for i := range q.buckets {
+		total += cap(q.buckets[i].items)
+	}
+	if limit := 2 * cqBucketSeedCap * len(q.buckets); total > limit {
+		t.Fatalf("%d buckets hold %d slots for %d queued events after the bursts drained, limit %d",
+			len(q.buckets), total, q.size(), limit)
+	}
+}

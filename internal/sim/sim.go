@@ -207,9 +207,11 @@ func (k *Kernel) After(d time.Duration, fn Event) Timer {
 
 // Post schedules fn to run d from now without handing out a cancellation
 // handle. It is the allocation-free path for fire-and-forget events — with
-// a warm item pool a Post costs zero heap allocations, which is what the
-// medium's per-receiver frame deliveries ride on. Negative d behaves like
-// zero; nil fn is ignored.
+// a warm item pool a Post costs zero heap allocations. The medium rides on
+// it with one event per transmission: a prebound callback that delivers
+// the frame to all of its receivers in turn, so a Stop called by one of
+// them does not halt the rest of that batch. Negative d behaves like zero;
+// nil fn is ignored.
 func (k *Kernel) Post(d time.Duration, fn Event) {
 	if fn == nil {
 		return
@@ -290,7 +292,9 @@ func (k *Kernel) RunFor(d time.Duration) error {
 }
 
 // Stop halts the current Run/RunUntil after the in-flight event completes.
-// The kernel cannot be restarted; construct a new one per run.
+// An event that does several things runs to its end: a receiver calling
+// Stop during a medium delivery still lets the frame reach the rest of its
+// receivers. The kernel cannot be restarted; construct a new one per run.
 func (k *Kernel) Stop() { k.stopped = true }
 
 // Stopped reports whether Stop has been called.
